@@ -163,8 +163,14 @@ func run() int {
 			return matrixAll(modes, opts)
 		}
 		program := loadProgram(*corpusName)
+		uncertified := false
 		for _, mode := range modes {
-			fmt.Printf("%-10s %s\n", mode, matrixCell(mode, program, opts))
+			cell := matrixCell(mode, program, opts)
+			uncertified = uncertified || strings.HasPrefix(cell, "✓?")
+			fmt.Printf("%-10s %s\n", mode, cell)
+		}
+		if uncertified {
+			fmt.Println(model.UncertifiedNote)
 		}
 		return 0
 	}
@@ -332,11 +338,7 @@ func matrixCell(mode string, p *lang.Program, opts model.RunOpts) string {
 	rr, err := model.Run(mode, p, opts)
 	switch {
 	case err == nil:
-		mark := "✗"
-		if rr.Robust {
-			mark = "✓"
-		}
-		return fmt.Sprintf("%s %d", mark, rr.States)
+		return fmt.Sprintf("%s %d", rr.Mark(), rr.States)
 	case errors.Is(err, core.ErrStateBound) || errors.Is(err, staterobust.ErrBound):
 		return "bound"
 	case errors.Is(err, core.ErrCanceled) || errors.Is(err, staterobust.ErrCanceled):
@@ -354,6 +356,7 @@ func matrixAll(modes []string, opts model.RunOpts) int {
 		fmt.Printf("  %-12s", m)
 	}
 	fmt.Println()
+	uncertified := false
 	for _, e := range litmus.All() {
 		if e.Big {
 			fmt.Printf("%-22s  (skipped: multi-minute state space; use -corpus %s)\n", e.Name, e.Name)
@@ -363,10 +366,14 @@ func matrixAll(modes []string, opts model.RunOpts) int {
 		fmt.Printf("%-22s", e.Name)
 		for _, mode := range modes {
 			cell := matrixCell(mode, p, opts)
+			uncertified = uncertified || strings.HasPrefix(cell, "✓?")
 			// ✓/✗ are multi-byte; pad on rune width.
 			fmt.Printf("  %s%s", cell, strings.Repeat(" ", pad(12, cell)))
 		}
 		fmt.Println()
+	}
+	if uncertified {
+		fmt.Println(model.UncertifiedNote)
 	}
 	return 0
 }

@@ -18,11 +18,9 @@ import (
 
 	"repro/internal/lang"
 	"repro/internal/litmus"
-	"repro/internal/memra"
-	"repro/internal/memsc"
-	"repro/internal/memtso"
 	"repro/internal/parser"
 	"repro/internal/prog"
+	"repro/internal/staterobust"
 )
 
 func main() {
@@ -55,10 +53,14 @@ func main() {
 		os.Exit(2)
 	}
 
+	mm, err := newModel(program, *model)
+	if err != nil {
+		fatal(err)
+	}
 	for i := 0; i < *tries; i++ {
 		s := *seed + int64(i)
 		verbose := *tries == 1
-		if runOnce(program, *model, s, *maxSteps, verbose) && !verbose {
+		if runOnce(program, mm, s, *maxSteps, verbose) && !verbose {
 			fmt.Printf("seed %d: assertion failed — weak outcome found; replay with -seed %d -tries 1\n", s, s)
 			os.Exit(1)
 		}
@@ -68,27 +70,43 @@ func main() {
 	}
 }
 
-// runOnce simulates one run; returns true if an assertion failed.
-func runOnce(program *lang.Program, model string, seed int64, maxSteps int, verbose bool) bool {
+// newModel returns the memory model named on the command line.
+func newModel(program *lang.Program, model string) (staterobust.MemoryModel, error) {
+	switch model {
+	case "sc":
+		return staterobust.NewSC(program), nil
+	case "ra":
+		return staterobust.NewRA(program, 0), nil
+	case "sra":
+		return staterobust.NewSRA(program, 0), nil
+	case "tso":
+		return staterobust.NewTSO(program, 0), nil
+	}
+	return nil, fmt.Errorf("unknown model %q (want sc, ra, sra or tso)", model)
+}
+
+// runOnce simulates one run; returns true if an assertion failed. Each
+// step picks uniformly among the enabled moves — a thread's ε step, a
+// thread's memory operation, or a memory-internal transition (a TSO
+// flush) — and, for a memory operation, uniformly among the successors
+// the model offers for it.
+func runOnce(program *lang.Program, mm staterobust.MemoryModel, seed int64, maxSteps int, verbose bool) bool {
 	rng := rand.New(rand.NewSource(seed))
 	p := prog.New(program)
 	st := p.InitStateRaw()
-	scMem := memsc.New(program.NumLocs())
-	raMem := memra.New(program.NumLocs(), program.NumThreads())
-	tsoMem := memtso.New(program.NumLocs(), program.NumThreads())
-	sra := model == "sra"
+	m := mm.Init()
 
 	say := func(format string, args ...any) {
 		if verbose {
 			fmt.Printf(format+"\n", args...)
 		}
 	}
+	type move struct {
+		t     int
+		succs []staterobust.Succ // nil for an ε step
+		flush bool
+	}
 	for step := 0; step < maxSteps; step++ {
-		// Collect the enabled moves.
-		type move struct {
-			t     int
-			flush bool
-		}
 		var moves []move
 		for t := range p.Threads {
 			th := &p.Threads[t]
@@ -100,41 +118,22 @@ func runOnce(program *lang.Program, model string, seed int64, maxSteps int, verb
 				moves = append(moves, move{t: t})
 				continue
 			}
-			op := th.Op(ts)
-			enabled := false
-			switch model {
-			case "sc":
-				_, enabled = prog.SCLabel(op, scMem[op.Loc], program.ValCount)
-			case "ra", "sra":
-				enabled = raEnabled(raMem, lang.Tid(t), op, sra)
-			case "tso":
-				enabled = tsoEnabled(tsoMem, lang.Tid(t), op)
-			default:
-				fatal(fmt.Errorf("unknown model %q", model))
-			}
-			if enabled {
-				moves = append(moves, move{t: t})
+			if succs := mm.Steps(nil, m, lang.Tid(t), th.Op(ts)); len(succs) > 0 {
+				moves = append(moves, move{t: t, succs: succs})
 			}
 		}
-		if model == "tso" {
-			for t := 0; t < program.NumThreads(); t++ {
-				if tsoMem.CanFlush(lang.Tid(t)) {
-					moves = append(moves, move{t: t, flush: true})
-				}
+		for t := range p.Threads {
+			if succs := mm.Internal(nil, m, lang.Tid(t)); len(succs) > 0 {
+				moves = append(moves, move{t: t, succs: succs, flush: true})
 			}
 		}
 		if len(moves) == 0 {
 			break // all terminated or blocked
 		}
 		mv := moves[rng.Intn(len(moves))]
-		if mv.flush {
-			tsoMem.Flush(lang.Tid(mv.t))
-			say("%3d: %s: (flush)", step, program.Threads[mv.t].Name)
-			continue
-		}
 		th := &p.Threads[mv.t]
 		ts := st.Threads[mv.t]
-		if th.AtEps(ts) {
+		if mv.succs == nil {
 			next, afail := th.StepEps(ts)
 			if afail != nil {
 				say("%3d: %s: ASSERTION FAILED at pc %d", step, program.Threads[mv.t].Name, afail.PC)
@@ -143,19 +142,17 @@ func runOnce(program *lang.Program, model string, seed int64, maxSteps int, verb
 			st.Threads[mv.t] = next
 			continue
 		}
-		op := th.Op(ts)
-		var label lang.Label
-		switch model {
-		case "sc":
-			label, _ = prog.SCLabel(op, scMem[op.Loc], program.ValCount)
-			scMem.Step(label)
-		case "ra", "sra":
-			label = raStep(rng, raMem, lang.Tid(mv.t), op, sra, program.ValCount)
-		case "tso":
-			label = tsoStep(tsoMem, lang.Tid(mv.t), op, program.ValCount)
+		sc := mv.succs[0]
+		if len(mv.succs) > 1 {
+			sc = mv.succs[rng.Intn(len(mv.succs))]
 		}
-		st.Threads[mv.t] = th.ApplyRaw(ts, label)
-		say("%3d: %s: %s", step, program.Threads[mv.t].Name, program.FmtLabel(label))
+		m = sc.M
+		if mv.flush {
+			say("%3d: %s: (flush)", step, program.Threads[mv.t].Name)
+			continue
+		}
+		st.Threads[mv.t] = th.ApplyRaw(ts, sc.Lab)
+		say("%3d: %s: %s", step, program.Threads[mv.t].Name, program.FmtLabel(sc.Lab))
 	}
 	if verbose {
 		fmt.Println("final registers:")
@@ -168,144 +165,6 @@ func runOnce(program *lang.Program, model string, seed int64, maxSteps int, verb
 		}
 	}
 	return false
-}
-
-func raEnabled(m *memra.State, tid lang.Tid, op prog.MemOp, sra bool) bool {
-	switch op.Kind {
-	case prog.OpWrite:
-		return true
-	case prog.OpRead:
-		return len(m.ReadCandidates(tid, op.Loc)) > 0
-	case prog.OpWait:
-		for _, msg := range m.ReadCandidates(tid, op.Loc) {
-			if msg.Val == op.WVal {
-				return true
-			}
-		}
-		return false
-	case prog.OpCAS:
-		return len(m.ReadCandidates(tid, op.Loc)) > 0
-	case prog.OpBCAS:
-		cands := m.RMWCandidates(tid, op.Loc)
-		if sra {
-			cands = m.RMWCandidatesSRA(tid, op.Loc)
-		}
-		for _, msg := range cands {
-			if msg.Val == op.Exp {
-				return true
-			}
-		}
-		return false
-	default: // FADD, XCHG
-		if sra {
-			return len(m.RMWCandidatesSRA(tid, op.Loc)) > 0
-		}
-		return len(m.RMWCandidates(tid, op.Loc)) > 0
-	}
-}
-
-func raStep(rng *rand.Rand, m *memra.State, tid lang.Tid, op prog.MemOp, sra bool, valCount int) lang.Label {
-	pick := func(msgs []memra.Msg) memra.Msg { return msgs[rng.Intn(len(msgs))] }
-	switch op.Kind {
-	case prog.OpWrite:
-		var slot memra.Time
-		if sra {
-			slot = m.WriteSlotSRA(op.Loc)
-		} else {
-			slots := m.WriteSlots(tid, op.Loc, 3)
-			slot = slots[rng.Intn(len(slots))]
-		}
-		m.Write(tid, op.Loc, op.WVal, slot)
-		return lang.WriteLab(op.Loc, op.WVal)
-	case prog.OpRead:
-		msg := pick(m.ReadCandidates(tid, op.Loc))
-		m.Read(tid, msg)
-		return lang.ReadLab(op.Loc, msg.Val)
-	case prog.OpWait:
-		var ok []memra.Msg
-		for _, msg := range m.ReadCandidates(tid, op.Loc) {
-			if msg.Val == op.WVal {
-				ok = append(ok, msg)
-			}
-		}
-		msg := pick(ok)
-		m.Read(tid, msg)
-		return lang.ReadLab(op.Loc, msg.Val)
-	case prog.OpCAS, prog.OpBCAS:
-		cands := m.RMWCandidates(tid, op.Loc)
-		if sra {
-			cands = m.RMWCandidatesSRA(tid, op.Loc)
-		}
-		var succ []memra.Msg
-		for _, msg := range cands {
-			if msg.Val == op.Exp {
-				succ = append(succ, msg)
-			}
-		}
-		if len(succ) > 0 && (op.Kind == prog.OpBCAS || rng.Intn(2) == 0) {
-			msg := pick(succ)
-			m.RMW(tid, msg, op.New)
-			return lang.RMWLab(op.Loc, msg.Val, op.New)
-		}
-		var fail []memra.Msg
-		for _, msg := range m.ReadCandidates(tid, op.Loc) {
-			if msg.Val != op.Exp {
-				fail = append(fail, msg)
-			}
-		}
-		if len(fail) == 0 {
-			msg := pick(succ)
-			m.RMW(tid, msg, op.New)
-			return lang.RMWLab(op.Loc, msg.Val, op.New)
-		}
-		msg := pick(fail)
-		m.Read(tid, msg)
-		return lang.ReadLab(op.Loc, msg.Val)
-	default: // FADD, XCHG
-		cands := m.RMWCandidates(tid, op.Loc)
-		if sra {
-			cands = m.RMWCandidatesSRA(tid, op.Loc)
-		}
-		msg := pick(cands)
-		vw := op.New
-		if op.Kind == prog.OpFADD {
-			vw = lang.Val((int(msg.Val) + int(op.Add)) % valCount)
-		}
-		m.RMW(tid, msg, vw)
-		return lang.RMWLab(op.Loc, msg.Val, vw)
-	}
-}
-
-func tsoEnabled(m *memtso.State, tid lang.Tid, op prog.MemOp) bool {
-	switch op.Kind {
-	case prog.OpWrite:
-		return m.CanWrite(tid, 8)
-	case prog.OpRead:
-		return true
-	case prog.OpWait:
-		return m.Lookup(tid, op.Loc) == op.WVal
-	case prog.OpBCAS:
-		return m.BufEmpty(tid) && m.Mem[op.Loc] == op.Exp
-	default:
-		return m.BufEmpty(tid)
-	}
-}
-
-func tsoStep(m *memtso.State, tid lang.Tid, op prog.MemOp, valCount int) lang.Label {
-	switch op.Kind {
-	case prog.OpWrite:
-		m.Write(tid, op.Loc, op.WVal)
-		return lang.WriteLab(op.Loc, op.WVal)
-	case prog.OpRead, prog.OpWait:
-		return lang.ReadLab(op.Loc, m.Lookup(tid, op.Loc))
-	default:
-		cur := m.Mem[op.Loc]
-		label, _ := prog.SCLabel(op, cur, valCount)
-		if label.Typ == lang.LRMW {
-			m.RMW(tid, label.Loc, label.VR, label.VW)
-		}
-		return label
-	}
 }
 
 func fatal(err error) {

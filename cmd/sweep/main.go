@@ -135,12 +135,15 @@ type matrixCell struct {
 	Mode    string `json:"mode"`
 	// Status: "ok" (verdict below is meaningful), "bound" (state budget
 	// exhausted), "timeout" (per-point deadline), or "skipped" (Big row).
-	Status     string  `json:"status"`
-	Robust     bool    `json:"robust"`
-	States     int     `json:"states,omitempty"`
-	SCStates   int     `json:"scStates,omitempty"`
-	WeakStates int     `json:"weakStates,omitempty"`
-	ElapsedMs  float64 `json:"elapsedMs,omitempty"`
+	Status     string `json:"status"`
+	Robust     bool   `json:"robust"`
+	States     int    `json:"states,omitempty"`
+	SCStates   int    `json:"scStates,omitempty"`
+	WeakStates int    `json:"weakStates,omitempty"`
+	// BufBoundHit marks a TSO verdict reached with the store-buffer
+	// capacity inhibiting some write; a robust one is then not certified.
+	BufBoundHit bool    `json:"bufBoundHit,omitempty"`
+	ElapsedMs   float64 `json:"elapsedMs,omitempty"`
 }
 
 // matrixMain runs the per-model comparison table over the Figure 7
@@ -169,6 +172,7 @@ func matrixMain(spec, jsonOut string, maxStates, workers int, timeout time.Durat
 	}
 
 	var cells []matrixCell
+	uncertified := false
 	fmt.Printf("%-22s", "program")
 	for _, m := range modes {
 		fmt.Printf("  %-20s", m)
@@ -203,12 +207,10 @@ func matrixMain(spec, jsonOut string, maxStates, workers int, timeout time.Durat
 				c.States = rr.States
 				c.SCStates = rr.SCStates
 				c.WeakStates = rr.WeakStates
+				c.BufBoundHit = rr.BufBoundHit
 				c.ElapsedMs = float64(rr.Elapsed) / float64(time.Millisecond)
-				mark := "✗"
-				if rr.Robust {
-					mark = "✓"
-				}
-				cell := fmt.Sprintf("%s %d %v", mark, rr.States, rr.Elapsed.Round(time.Millisecond))
+				uncertified = uncertified || (rr.Robust && rr.BufBoundHit)
+				cell := fmt.Sprintf("%s %d %v", rr.Mark(), rr.States, rr.Elapsed.Round(time.Millisecond))
 				fmt.Printf("  %s%*s", cell, pad(20, cell), "")
 			case errors.Is(err, core.ErrStateBound) || errors.Is(err, staterobust.ErrBound):
 				c.Status = "bound"
@@ -223,6 +225,9 @@ func matrixMain(spec, jsonOut string, maxStates, workers int, timeout time.Durat
 			cells = append(cells, c)
 		}
 		fmt.Println()
+	}
+	if uncertified {
+		fmt.Println(model.UncertifiedNote)
 	}
 
 	if jsonOut != "" {

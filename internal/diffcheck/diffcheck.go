@@ -452,8 +452,10 @@ func runBattery(r *Report, p *lang.Program, src string, cfg Config) {
 		}
 	}
 
-	// Instrumented-vs-exhaustive TSO: two independent implementations of
-	// the same state-robustness question. Verdicts must agree exactly; on
+	// Instrumented-vs-exhaustive TSO: one product explorer over two
+	// machines (the lazy single-delayer and the full store-buffer TSO)
+	// answering the same state-robustness question, so the leg checks
+	// the attack policy, not the explorer. Verdicts must agree exactly; on
 	// robust programs the lazy single-delayer exploration is a subset of
 	// the full store-buffer product, so its state count can never be
 	// larger. Both legs run with the same Limits, so a bound skip on one

@@ -172,15 +172,10 @@ func (s *State) insertCopy(x lang.Loc, v lang.Val, t Time, view View) {
 	s.Msgs[i] = Msg{Loc: x, Val: v, T: t, View: spare}
 }
 
-// ReadCandidates returns the messages of x thread tid may read: those with
-// timestamp ≥ the thread's view of x (Figure 3, read rule).
-func (s *State) ReadCandidates(tid lang.Tid, x lang.Loc) []Msg {
-	return s.AppendReadCandidates(nil, tid, x)
-}
-
-// AppendReadCandidates is ReadCandidates appending into dst — candidate
-// enumeration into caller scratch. The returned Msgs alias s's views and
-// stay valid while s is unmodified.
+// AppendReadCandidates appends to dst the messages of x thread tid may
+// read: those with timestamp ≥ the thread's view of x (Figure 3, read
+// rule). The appended Msgs alias s's views and stay valid while s is
+// unmodified.
 func (s *State) AppendReadCandidates(dst []Msg, tid lang.Tid, x lang.Loc) []Msg {
 	min := s.Views[tid][x]
 	for i := range s.Msgs {
@@ -193,7 +188,7 @@ func (s *State) AppendReadCandidates(dst []Msg, tid lang.Tid, x lang.Loc) []Msg 
 
 // Read performs the read transition of thread tid from message m
 // (incorporating m's view into the thread view). The caller must pass a
-// message returned by ReadCandidates.
+// message returned by AppendReadCandidates.
 func (s *State) Read(tid lang.Tid, m Msg) {
 	s.Views[tid].Join(m.View)
 	if s.Views[tid][m.Loc] < m.T {
@@ -201,16 +196,11 @@ func (s *State) Read(tid lang.Tid, m Msg) {
 	}
 }
 
-// WriteSlots returns the timestamps thread tid may pick for a new message
-// of x: free slots strictly above the thread's view, up to headroom slots
-// past the current maximal timestamp. A headroom of 1 suffices to simulate
-// SC; larger headrooms allow later writes to be interleaved mo-before this
-// one (see package comment on exactness).
-func (s *State) WriteSlots(tid lang.Tid, x lang.Loc, headroom int) []Time {
-	return s.AppendWriteSlots(nil, tid, x, headroom)
-}
-
-// AppendWriteSlots is WriteSlots appending into dst.
+// AppendWriteSlots appends to dst the timestamps thread tid may pick for
+// a new message of x: free slots strictly above the thread's view, up to
+// headroom slots past the current maximal timestamp. A headroom of 1
+// suffices to simulate SC; larger headrooms allow later writes to be
+// interleaved mo-before this one (see package comment on exactness).
 func (s *State) AppendWriteSlots(dst []Time, tid lang.Tid, x lang.Loc, headroom int) []Time {
 	lo := s.Views[tid][x] + 1
 	hi := s.maxT(x) + Time(headroom)
@@ -224,7 +214,7 @@ func (s *State) AppendWriteSlots(dst []Time, tid lang.Tid, x lang.Loc, headroom 
 
 // Write performs the write transition of thread tid: a new message
 // ⟨x=v@t, view⟩ where the view is the thread's updated view (Figure 3,
-// write rule). t must come from WriteSlots.
+// write rule). t must come from AppendWriteSlots.
 func (s *State) Write(tid lang.Tid, x lang.Loc, v lang.Val, t Time) {
 	s.Views[tid][x] = t
 	s.insertCopy(x, v, t, s.Views[tid])
@@ -240,15 +230,10 @@ func (s *State) WriteSlotSRA(x lang.Loc) Time {
 	return s.maxT(x) + 1
 }
 
-// RMWCandidatesSRA returns the messages an SRA RMW may read: the RMW's
-// write must also be maximal, so only the mo-maximal message qualifies
-// (and only if the thread's view permits reading it, which it always
-// does for the maximum).
-func (s *State) RMWCandidatesSRA(tid lang.Tid, x lang.Loc) []Msg {
-	return s.AppendRMWCandidatesSRA(nil, tid, x)
-}
-
-// AppendRMWCandidatesSRA is RMWCandidatesSRA appending into dst.
+// AppendRMWCandidatesSRA appends to dst the messages an SRA RMW may read:
+// the RMW's write must also be maximal, so only the mo-maximal message
+// qualifies (and only if the thread's view permits reading it, which it
+// always does for the maximum).
 func (s *State) AppendRMWCandidatesSRA(dst []Msg, tid lang.Tid, x lang.Loc) []Msg {
 	min := s.Views[tid][x]
 	maxT := s.maxT(x)
@@ -260,13 +245,9 @@ func (s *State) AppendRMWCandidatesSRA(dst []Msg, tid lang.Tid, x lang.Loc) []Ms
 	return dst
 }
 
-// RMWCandidates returns the messages of x thread tid may read in an RMW:
-// readable messages whose successor timestamp is free (Figure 3, RMW rule).
-func (s *State) RMWCandidates(tid lang.Tid, x lang.Loc) []Msg {
-	return s.AppendRMWCandidates(nil, tid, x)
-}
-
-// AppendRMWCandidates is RMWCandidates appending into dst.
+// AppendRMWCandidates appends to dst the messages of x thread tid may read
+// in an RMW: readable messages whose successor timestamp is free (Figure
+// 3, RMW rule).
 func (s *State) AppendRMWCandidates(dst []Msg, tid lang.Tid, x lang.Loc) []Msg {
 	min := s.Views[tid][x]
 	for i := range s.Msgs {

@@ -44,7 +44,7 @@ func TestMachineStepsAreRAGSteps(t *testing.T) {
 			x := lang.Loc(rng.Intn(numL))
 			switch rng.Intn(3) {
 			case 0: // write
-				slots := st.WriteSlots(tid, x, 3)
+				slots := st.AppendWriteSlots(nil, tid, x, 3)
 				if len(slots) == 0 {
 					continue
 				}
@@ -58,7 +58,7 @@ func TestMachineStepsAreRAGSteps(t *testing.T) {
 				st.Write(tid, x, v, ts)
 				evOf[[2]int{int(x), int(ts)}] = g.Add(int(tid), l, w)
 			case 1: // read
-				cands := st.ReadCandidates(tid, x)
+				cands := st.AppendReadCandidates(nil, tid, x)
 				if len(cands) == 0 {
 					continue
 				}
@@ -71,7 +71,7 @@ func TestMachineStepsAreRAGSteps(t *testing.T) {
 				st.Read(tid, m)
 				g.Add(int(tid), l, w)
 			default: // RMW
-				cands := st.RMWCandidates(tid, x)
+				cands := st.AppendRMWCandidates(nil, tid, x)
 				if len(cands) == 0 {
 					continue
 				}
@@ -107,15 +107,15 @@ func TestCanonicalizePreservesOptions(t *testing.T) {
 			x := lang.Loc(rng.Intn(numL))
 			switch rng.Intn(3) {
 			case 0:
-				if slots := st.WriteSlots(tid, x, 4); len(slots) > 0 {
+				if slots := st.AppendWriteSlots(nil, tid, x, 4); len(slots) > 0 {
 					st.Write(tid, x, lang.Val(rng.Intn(3)), slots[rng.Intn(len(slots))])
 				}
 			case 1:
-				if c := st.ReadCandidates(tid, x); len(c) > 0 {
+				if c := st.AppendReadCandidates(nil, tid, x); len(c) > 0 {
 					st.Read(tid, c[rng.Intn(len(c))])
 				}
 			default:
-				if c := st.RMWCandidates(tid, x); len(c) > 0 {
+				if c := st.AppendRMWCandidates(nil, tid, x); len(c) > 0 {
 					st.RMW(tid, c[rng.Intn(len(c))], lang.Val(rng.Intn(3)))
 				}
 			}
@@ -128,9 +128,9 @@ func TestCanonicalizePreservesOptions(t *testing.T) {
 			for tid := 0; tid < numT; tid++ {
 				for x := 0; x < numL; x++ {
 					out = append(out, opts{
-						reads: len(st.ReadCandidates(lang.Tid(tid), lang.Loc(x))),
-						rmws:  len(st.RMWCandidates(lang.Tid(tid), lang.Loc(x))),
-						slots: len(st.WriteSlots(lang.Tid(tid), lang.Loc(x), 3)),
+						reads: len(st.AppendReadCandidates(nil, lang.Tid(tid), lang.Loc(x))),
+						rmws:  len(st.AppendRMWCandidates(nil, lang.Tid(tid), lang.Loc(x))),
+						slots: len(st.AppendWriteSlots(nil, lang.Tid(tid), lang.Loc(x), 3)),
 					})
 				}
 			}
@@ -156,7 +156,7 @@ func TestCanonicalizeIdempotent(t *testing.T) {
 		for step := 0; step < 10; step++ {
 			tid := lang.Tid(rng.Intn(2))
 			x := lang.Loc(rng.Intn(2))
-			if slots := st.WriteSlots(tid, x, 5); len(slots) > 0 {
+			if slots := st.AppendWriteSlots(nil, tid, x, 5); len(slots) > 0 {
 				st.Write(tid, x, lang.Val(rng.Intn(2)), slots[rng.Intn(len(slots))])
 			}
 		}

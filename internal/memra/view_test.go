@@ -82,15 +82,15 @@ func TestThreadViewMonotone(t *testing.T) {
 			x := rng.Intn(2)
 			switch rng.Intn(3) {
 			case 0:
-				if slots := st.WriteSlots(lTid(tid), lLoc(x), 3); len(slots) > 0 {
+				if slots := st.AppendWriteSlots(nil, lTid(tid), lLoc(x), 3); len(slots) > 0 {
 					st.Write(lTid(tid), lLoc(x), 1, slots[rng.Intn(len(slots))])
 				}
 			case 1:
-				if c := st.ReadCandidates(lTid(tid), lLoc(x)); len(c) > 0 {
+				if c := st.AppendReadCandidates(nil, lTid(tid), lLoc(x)); len(c) > 0 {
 					st.Read(lTid(tid), c[rng.Intn(len(c))])
 				}
 			default:
-				if c := st.RMWCandidates(lTid(tid), lLoc(x)); len(c) > 0 {
+				if c := st.AppendRMWCandidates(nil, lTid(tid), lLoc(x)); len(c) > 0 {
 					st.RMW(lTid(tid), c[rng.Intn(len(c))], 1)
 				}
 			}

@@ -1,3 +1,11 @@
+// Package model is the verification-mode registry: every question the
+// tools answer (the execution-graph modes over internal/core and the state
+// modes over internal/staterobust), in one table that rockerd, the
+// verdict-cache key, and rocker/sweep -models all read, behind one entry
+// point (Run). It also holds the one policy layered on the state
+// explorer, the attack-based TSO checker (tsoattack.go). The memory
+// models themselves — the MemoryModel interface, its SC/TSO/RA/SRA
+// adapters, and the product explorer — live in internal/staterobust.
 package model
 
 import (
@@ -53,13 +61,13 @@ var infos = []Info{
 		"execution-graph robustness against strong release/acquire"},
 	{ModeSC, true, "core.VerifySC", "assertions only",
 		"plain SC exploration, assertion checking"},
-	{ModeTSO, false, "model.CheckTSO (single-delayer attacks)", "SC-set projection (Def 2.6)",
+	{ModeTSO, false, "model.CheckTSO (explorer, lazy TSO)", "SC-set projection (Def 2.6)",
 		"state robustness against x86-TSO, polynomial instrumentation"},
-	{ModeStateRA, false, "staterobust.CheckRA", "SC-set projection (Def 2.6)",
+	{ModeStateRA, false, "staterobust.CheckRA (parallel RA engine)", "SC-set projection (Def 2.6)",
 		"state robustness against the RA timestamp machine"},
-	{ModeStateSRA, false, "staterobust.CheckSRA", "SC-set projection (Def 2.6)",
+	{ModeStateSRA, false, "staterobust.CheckSRA (parallel RA engine)", "SC-set projection (Def 2.6)",
 		"state robustness against the SRA timestamp machine"},
-	{ModeStateTSO, false, "staterobust.CheckTSO (exhaustive product)", "SC-set projection (Def 2.6)",
+	{ModeStateTSO, false, "staterobust.CheckTSO (explorer, full TSO)", "SC-set projection (Def 2.6)",
 		"state robustness against x86-TSO, exhaustive store-buffer product"},
 }
 
@@ -132,10 +140,31 @@ type RunResult struct {
 	// SCStates/WeakStates are the program-state projection counts of the
 	// state modes (0 otherwise).
 	SCStates, WeakStates int
-	AssertFail           string
-	TraceLen             int
-	Elapsed              time.Duration
+	// BufBoundHit reports that the TSO store-buffer capacity inhibited a
+	// write (tso and state-tso): a robust verdict then covers only runs
+	// within the capacity and is not certified.
+	BufBoundHit bool
+	AssertFail  string
+	TraceLen    int
+	Elapsed     time.Duration
 }
+
+// Mark renders the verdict as a matrix cell mark: ✓ robust, ✗ not
+// robust, and ✓? robust only within the TSO store-buffer capacity (the
+// bound was hit, so the verdict is not certified). A ✗ needs no caveat:
+// its witness run stays within the capacity.
+func (r *RunResult) Mark() string {
+	switch {
+	case !r.Robust:
+		return "✗"
+	case r.BufBoundHit:
+		return "✓?"
+	}
+	return "✓"
+}
+
+// UncertifiedNote explains the ✓? mark under a verdict matrix.
+const UncertifiedNote = "✓? = robust only within the TSO store-buffer capacity (buffer bound hit; not certified)"
 
 // Run answers one mode's question about one program — the uniform entry
 // point behind rocker -models and sweep -models.
@@ -190,12 +219,13 @@ func Run(mode string, program *lang.Program, o RunOpts) (*RunResult, error) {
 		return nil, err
 	}
 	return &RunResult{
-		Mode:       mode,
-		Robust:     r.Robust,
-		States:     r.Explored,
-		SCStates:   r.SCStates,
-		WeakStates: r.WeakStates,
-		TraceLen:   len(r.WitnessTrace),
-		Elapsed:    time.Since(start),
+		Mode:        mode,
+		Robust:      r.Robust,
+		States:      r.Explored,
+		SCStates:    r.SCStates,
+		WeakStates:  r.WeakStates,
+		BufBoundHit: r.BufBoundHit,
+		TraceLen:    len(r.WitnessTrace),
+		Elapsed:     time.Since(start),
 	}, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/litmus"
+	"repro/internal/parser"
 	"repro/internal/staterobust"
 )
 
@@ -87,6 +88,43 @@ func TestCheckRejectsGraphModes(t *testing.T) {
 	for _, mode := range []string{ModeRA, ModeSRA, ModeSC, "bogus"} {
 		if _, err := Check(mode, e.Program(), staterobust.Limits{}); err == nil {
 			t.Errorf("Check(%s): want error", mode)
+		}
+	}
+}
+
+// TestRunBufBoundHit: a TSO run whose store buffer overflows its capacity
+// must say so in the RunResult — its robust verdict is not certified —
+// and a run within the capacity must not.
+func TestRunBufBoundHit(t *testing.T) {
+	p := parser.MustParse(`
+program three-writes
+vals 4
+locs x y
+thread t1
+  x := 1
+  x := 2
+  x := 3
+  a := y
+end
+thread t2
+  y := 1
+end
+`)
+	for _, mode := range []string{ModeTSO, ModeStateTSO} {
+		for _, c := range []struct {
+			bufCap int
+			hit    bool
+		}{{2, true}, {0, false}} {
+			rr, err := Run(mode, p, RunOpts{MaxStates: 100_000, TSOBufCap: c.bufCap})
+			if err != nil {
+				t.Fatalf("%s cap=%d: %v", mode, c.bufCap, err)
+			}
+			if rr.BufBoundHit != c.hit {
+				t.Errorf("%s cap=%d: BufBoundHit = %v, want %v", mode, c.bufCap, rr.BufBoundHit, c.hit)
+			}
+			if want := map[bool]string{true: "✓?", false: "✓"}[c.hit]; rr.Mark() != want {
+				t.Errorf("%s cap=%d: Mark() = %q, want %q", mode, c.bufCap, rr.Mark(), want)
+			}
 		}
 	}
 }

@@ -11,11 +11,12 @@ import (
 // exploring the product with every store buffer live — whose state space
 // grows exponentially with the number of concurrently buffering threads
 // — it runs one reachability query over the *lazy single-delayer*
-// machine (NewTSOLazy), in which at most one buffer is ever non-empty:
-// an attack is the nondeterministic choice, made at any point where all
-// buffers are drained, of one candidate thread that starts delaying its
-// stores while everyone else writes through. The program is non-robust
-// iff the query reaches a program state outside the SC-reachable set.
+// machine (staterobust.NewTSOLazy), in which at most one buffer is ever
+// non-empty: an attack is the nondeterministic choice, made at any point
+// where all buffers are drained, of one candidate thread that starts
+// delaying its stores while everyone else writes through. The program is
+// non-robust iff the query reaches a program state outside the
+// SC-reachable set.
 //
 // Soundness is immediate: every run of the lazy machine is a genuine TSO
 // run (write-through is a store immediately followed by its flush), so a
@@ -24,10 +25,10 @@ import (
 // (PAPERS.md): a minimal robustness violation under a store-atomic model
 // needs only one thread deviating from SC at a time — the delayed writes
 // of any second thread can be committed eagerly without losing the
-// violating state. The exhaustive staterobust.CheckTSO remains in the
-// tree as the oracle: the Figure-7 corpus parity test and the diffcheck
-// fuzz leg cross-check the two checkers on every row and on generated
-// programs.
+// violating state. The exhaustive staterobust.CheckTSO — the same
+// explorer over the full store-buffer machine — is the oracle: the
+// Figure-7 corpus parity test and the diffcheck fuzz leg cross-check the
+// two checkers on every row and on generated programs.
 //
 // The state space is a subset of the exhaustive product's by
 // construction (every lazy state is a full-product state whose
@@ -37,26 +38,19 @@ import (
 // further by never letting a thread that could not possibly profit from
 // delaying open an episode.
 func CheckTSO(program *lang.Program, lim staterobust.Limits) (*staterobust.Result, error) {
-	scSet, err := staterobust.ReachableSC(program, lim)
-	if err != nil {
-		return nil, err
-	}
-	res := &staterobust.Result{Robust: true, SCStates: len(scSet)}
 	cands := DelayerCandidates(program)
 	if len(cands) == 0 {
 		// No thread can profit from delaying: with every buffer pinned
 		// empty the lazy machine is the SC machine, so the program is
 		// robust with no weak exploration at all (Explored and WeakStates
 		// stay 0).
-		return res, nil
+		scSet, err := staterobust.ReachableSC(program, lim)
+		if err != nil {
+			return nil, err
+		}
+		return &staterobust.Result{Robust: true, SCStates: len(scSet)}, nil
 	}
-	weak := map[string]struct{}{}
-	mm := NewTSOLazy(program, lim.TSOBufCap, cands)
-	if err := checkAgainst(program, mm, lim, scSet, weak, res); err != nil {
-		return nil, err
-	}
-	res.WeakStates = len(weak)
-	return res, nil
+	return staterobust.CheckState(program, staterobust.NewTSOLazy(program, lim.TSOBufCap, cands), lim)
 }
 
 // DelayerCandidates returns the threads worth letting open a delay

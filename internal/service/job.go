@@ -70,6 +70,9 @@ type Result struct {
 	// modes (0 otherwise).
 	SCStates   int `json:"scStates,omitempty"`
 	WeakStates int `json:"weakStates,omitempty"`
+	// BufBoundHit reports that the TSO store-buffer capacity inhibited a
+	// write (tso and state-tso): a robust verdict is then not certified.
+	BufBoundHit bool `json:"bufBoundHit,omitempty"`
 	// MetadataBits is the §5.1 instrumentation size (execution-graph
 	// modes).
 	MetadataBits int    `json:"metadataBits,omitempty"`
@@ -348,13 +351,14 @@ func (j *job) verify(ctx context.Context) (*Result, error) {
 		}
 		j.states.Store(int64(r.Explored))
 		return &Result{
-			Mode:       j.mode,
-			Robust:     r.Robust,
-			States:     r.Explored,
-			SCStates:   r.SCStates,
-			WeakStates: r.WeakStates,
-			TraceLen:   len(r.WitnessTrace),
-			ElapsedMs:  msSince(start),
+			Mode:        j.mode,
+			Robust:      r.Robust,
+			States:      r.Explored,
+			SCStates:    r.SCStates,
+			WeakStates:  r.WeakStates,
+			BufBoundHit: r.BufBoundHit,
+			TraceLen:    len(r.WitnessTrace),
+			ElapsedMs:   msSince(start),
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown mode %q (supported: %s)", j.mode, model.ModeList())

@@ -165,3 +165,31 @@ func TestBatchItemModeOverrideCluster(t *testing.T) {
 		t.Errorf("n1 peerForwards = %d, want >= 3", st.PeerForwards)
 	}
 }
+
+// TestBufBoundHitReported: a TSO verification whose store buffer
+// overflows the capacity (8 entries) must carry bufBoundHit in its
+// result, so a client can tell the robust verdict is not certified; a
+// run within the capacity omits the field.
+func TestBufBoundHitReported(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{MaxJobs: 2, Workers: 1})
+	nineWrites := "program nine-writes\nvals 2\nlocs x y\nthread t1\n" +
+		strings.Repeat("  x := 1\n", 9) + "  a := y\nend\nthread t2\n  y := 1\nend\n"
+	for _, c := range []struct {
+		src string
+		hit bool
+	}{{nineWrites, true}, {corpusSource(t, "MP"), false}} {
+		for _, mode := range []string{service.ModeTSO, service.ModeStateTSO} {
+			resp, body := postJSON(t, ts.URL, service.VerifyRequest{Source: c.src, Mode: mode, Wait: true})
+			var snap service.Snapshot
+			if err := json.Unmarshal(body, &snap); err != nil || resp.StatusCode != http.StatusOK || snap.Result == nil {
+				t.Fatalf("%s: code=%d body=%s", mode, resp.StatusCode, body)
+			}
+			if snap.Result.BufBoundHit != c.hit {
+				t.Errorf("%s: bufBoundHit = %v, want %v (%s)", mode, snap.Result.BufBoundHit, c.hit, body)
+			}
+			if got := strings.Contains(string(body), `"bufBoundHit"`); got != c.hit {
+				t.Errorf("%s: bufBoundHit field present = %v, want %v", mode, got, c.hit)
+			}
+		}
+	}
+}

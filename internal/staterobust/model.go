@@ -1,11 +1,18 @@
-// Package model abstracts the repository's operational memory subsystems
-// behind one MemoryModel interface and grows the cross-model verification
-// matrix on top of it: one program in, a verdict per model out.
-//
-// Before this package, the four machines — SC (memsc), RA and SRA (memra),
-// and TSO (memtso) — were each wired ad hoc into their own explorer
-// (staterobust's ReachableSC, checkWeakRA, and CheckTSO). The interface
-// factors the wiring into its four roles:
+package staterobust
+
+import (
+	"repro/internal/lang"
+	"repro/internal/memra"
+	"repro/internal/memsc"
+	"repro/internal/memtso"
+	"repro/internal/prog"
+)
+
+// This file puts the four operational memory subsystems — SC (memsc), RA
+// and SRA (memra), and TSO (memtso) — behind one MemoryModel interface,
+// so that each machine's step relation is written out once and every
+// sequential product exploration (check.go) runs over it. The interface
+// has four roles:
 //
 //   - init: the initial memory state for a program shape (Init);
 //   - step: the successors of a memory state under one program operation,
@@ -14,30 +21,8 @@
 //   - canonicalize: the state normalization that keeps the product finite
 //     and collapses equivalent states (Canon — timestamp renumbering for
 //     RA/SRA, a no-op for SC and TSO);
-//   - robustness-monitor: how non-SC behavior is detected on top of the
-//     reachable states. For the state models the monitor is generic — the
-//     program-state projection of every reached product state is compared
-//     against the SC-reachable set (Definition 2.6, CheckState) — while
-//     the execution-graph modes use the internal/scm monitor through
-//     internal/core and are dispatched by the registry (registry.go), not
-//     through this interface.
-//
-// The specialized engines remain the production paths for the modes they
-// already serve (they carry the pooled-scratch and parallel machinery);
-// the adapters here are their interface-driven reference, pinned equal by
-// parity tests. The one production user of the interface is the
-// polynomial instrumented TSO checker (tsoattack.go), whose single-delayer
-// machines are TSO adapter instances with a restricted delayer set.
-package model
-
-import (
-	"repro/internal/lang"
-	"repro/internal/memra"
-	"repro/internal/memsc"
-	"repro/internal/memtso"
-	"repro/internal/prog"
-	"repro/internal/staterobust"
-)
+//   - bound: whether a structural bound of the machine ever inhibited a
+//     transition (BoundHit — the TSO store-buffer capacity).
 
 // State is one memory-subsystem state paired against a program state in a
 // product exploration.
@@ -131,7 +116,7 @@ type tsoModel struct {
 	valCount            int
 	bufCap              int
 	// lazySet, when non-nil, selects the lazy single-delayer machine of
-	// the instrumented checker (tsoattack.go): at most one store buffer
+	// the instrumented checker (model.CheckTSO): at most one store buffer
 	// is ever non-empty. A thread whose buffer is already open keeps
 	// buffering; a thread in the set may open a delay episode when every
 	// buffer is empty; every other write commits straight to the store
@@ -143,14 +128,13 @@ type tsoModel struct {
 }
 
 // NewTSO returns the full x86-TSO machine (memtso) as a MemoryModel.
-// bufCap bounds each store buffer (0 = 8, matching
-// staterobust.CheckTSO).
+// bufCap bounds each store buffer (0 = 8).
 func NewTSO(program *lang.Program, bufCap int) MemoryModel {
 	return newTSO(program, bufCap, nil)
 }
 
 // NewTSOLazy returns the lazy single-delayer TSO machine used by the
-// instrumented checker: only threads in delayers may open a buffering
+// instrumented checker (model.CheckTSO): only threads in delayers may open a buffering
 // episode, and only while every other buffer is empty. Its reachable
 // product states are a subset of NewTSO's.
 func NewTSOLazy(program *lang.Program, bufCap int, delayers []lang.Tid) MemoryModel {
@@ -275,8 +259,8 @@ type raModel struct {
 }
 
 // NewRA returns the §3 release/acquire timestamp machine (memra) as a
-// MemoryModel; headroom follows staterobust.RAHeadroom semantics (0 =
-// derive from the program's write count).
+// MemoryModel; headroom is Limits.RAHeadroom (0 = derive from the
+// program's write count, see raHeadroom).
 func NewRA(program *lang.Program, headroom int) MemoryModel {
 	return newRA(program, headroom, false)
 }
@@ -289,7 +273,7 @@ func NewSRA(program *lang.Program, headroom int) MemoryModel {
 
 func newRA(program *lang.Program, headroom int, sra bool) MemoryModel {
 	if headroom <= 0 {
-		headroom = staterobust.RAHeadroom(program, staterobust.Limits{})
+		headroom = raHeadroom(program, Limits{})
 	}
 	return &raModel{
 		numLocs:    program.NumLocs(),
@@ -310,8 +294,8 @@ func (mm *raModel) Name() string {
 
 func (mm *raModel) Init() State { return &raState{memra.New(mm.numLocs, mm.numThreads)} }
 
-// Steps mirrors staterobust.checkWeakRA's candidate enumeration exactly
-// (Figure 2 semantics): write slots (SRA: the single maximal slot), read
+// Steps is checkWeakRA's candidate enumeration exactly (Figure 2
+// semantics): write slots (SRA: the single maximal slot), read
 // candidates filtered by a wait's expected value, RMW candidates with the
 // FADD/XCHG/CAS value computation, and the failed-CAS plain read.
 func (mm *raModel) Steps(dst []Succ, ms State, tid lang.Tid, op prog.MemOp) []Succ {

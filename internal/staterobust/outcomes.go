@@ -2,7 +2,6 @@ package staterobust
 
 import (
 	"repro/internal/lang"
-	"repro/internal/memra"
 	"repro/internal/prog"
 )
 
@@ -15,48 +14,40 @@ type Outcome struct {
 // FinalOutcomes explores the program to completion under the given model
 // ("ra", "sra" or "sc") and returns the distinct final program states.
 // Intended for terminating (litmus-style) programs; the exploration is
-// bounded by lim. It reuses the ε-granular explorers and keeps only
-// states where every thread has terminated.
+// bounded by lim. It walks the ε-granular product with the model's
+// adapter and keeps only states where every thread has terminated.
 func FinalOutcomes(program *lang.Program, model string, lim Limits) ([]Outcome, error) {
-	p := prog.New(program)
-	finals := map[string]struct{}{}
-	record := func(ps prog.State) {
-		for i := range p.Threads {
-			if !p.Threads[i].Terminated(ps.Threads[i]) {
-				return
-			}
-		}
-		finals[p.StateKeyRaw(ps)] = struct{}{}
-	}
-	var err error
+	var mm MemoryModel
 	switch model {
 	case "sc":
-		var set map[string]struct{}
-		set, err = ReachableSC(program, lim)
-		if err == nil {
-			st := p.InitStateRaw()
-			for key := range set {
-				p.DecodeState([]byte(key), st)
-				record(st)
-			}
-		}
-	case "ra", "sra":
-		err = exploreWeakRA(program, lim, model == "sra", record)
+		mm = NewSC(program)
+	case "ra":
+		mm = NewRA(program, lim.RAHeadroom)
+	case "sra":
+		mm = NewSRA(program, lim.RAHeadroom)
 	default:
 		return nil, errUnknownModel(model)
 	}
+	p := prog.New(program)
+	finals := map[string]struct{}{}
+	var out []Outcome
+	var buf []byte
+	_, err := walk(p, mm, lim, func(_ int32, ps prog.State) bool {
+		if !p.AllTerminated(ps) {
+			return false
+		}
+		buf = p.EncodeStateRaw(buf[:0], ps)
+		if insert(finals, buf) {
+			o := Outcome{Regs: make([][]lang.Val, len(ps.Threads))}
+			for i := range ps.Threads {
+				o.Regs[i] = append([]lang.Val(nil), ps.Threads[i].Regs...)
+			}
+			out = append(out, o)
+		}
+		return false
+	})
 	if err != nil {
 		return nil, err
-	}
-	var out []Outcome
-	st := p.InitStateRaw()
-	for key := range finals {
-		p.DecodeState([]byte(key), st)
-		o := Outcome{Regs: make([][]lang.Val, len(st.Threads))}
-		for i := range st.Threads {
-			o.Regs[i] = append([]lang.Val(nil), st.Threads[i].Regs...)
-		}
-		out = append(out, o)
 	}
 	return out, nil
 }
@@ -64,116 +55,3 @@ func FinalOutcomes(program *lang.Program, model string, lim Limits) ([]Outcome, 
 type errUnknownModel string
 
 func (e errUnknownModel) Error() string { return "staterobust: unknown model " + string(e) }
-
-// exploreWeakRA enumerates every reachable state of the program under the
-// (S)RA timestamp machine, invoking visit on each program state.
-func exploreWeakRA(program *lang.Program, lim Limits, sra bool, visit func(prog.State)) error {
-	p := prog.New(program)
-	headroom := RAHeadroom(program, lim)
-	gapCap := headroom + 1
-	type node struct {
-		ps prog.State
-		m  *memra.State
-	}
-	seen := map[string]struct{}{}
-	var stack []node
-	var buf []byte
-	push := func(ps prog.State, m *memra.State) {
-		m.Canonicalize(gapCap)
-		buf = buf[:0]
-		buf = p.EncodeStateRaw(buf, ps)
-		buf = m.Encode(buf)
-		if _, ok := seen[string(buf)]; ok {
-			return
-		}
-		seen[string(buf)] = struct{}{}
-		visit(ps)
-		stack = append(stack, node{ps, m})
-	}
-	push(p.InitStateRaw(), memra.New(program.NumLocs(), program.NumThreads()))
-	for len(stack) > 0 {
-		if len(seen) > lim.maxStates() {
-			return ErrBound
-		}
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for t := range p.Threads {
-			th := &p.Threads[t]
-			ts := n.ps.Threads[t]
-			tid := lang.Tid(t)
-			if th.Terminated(ts) {
-				continue
-			}
-			if th.AtEps(ts) {
-				nextTS, afail := th.StepEps(ts)
-				if afail != nil {
-					continue
-				}
-				nextPS := n.ps.Clone()
-				nextPS.Threads[t] = nextTS
-				push(nextPS, n.m.Clone())
-				continue
-			}
-			op := th.Op(ts)
-			step := func(label lang.Label, nextM *memra.State) {
-				nextPS := n.ps.Clone()
-				nextPS.Threads[t] = th.ApplyRaw(ts, label)
-				push(nextPS, nextM)
-			}
-			switch op.Kind {
-			case prog.OpWrite:
-				slots := n.m.WriteSlots(tid, op.Loc, headroom)
-				if sra {
-					slots = []memra.Time{n.m.WriteSlotSRA(op.Loc)}
-				}
-				for _, slot := range slots {
-					nextM := n.m.Clone()
-					nextM.Write(tid, op.Loc, op.WVal, slot)
-					step(lang.WriteLab(op.Loc, op.WVal), nextM)
-				}
-			case prog.OpRead, prog.OpWait:
-				for _, msg := range n.m.ReadCandidates(tid, op.Loc) {
-					if op.Kind == prog.OpWait && msg.Val != op.WVal {
-						continue
-					}
-					nextM := n.m.Clone()
-					nextM.Read(tid, msg)
-					step(lang.ReadLab(op.Loc, msg.Val), nextM)
-				}
-			case prog.OpFADD, prog.OpXCHG, prog.OpCAS, prog.OpBCAS:
-				cands := n.m.RMWCandidates(tid, op.Loc)
-				if sra {
-					cands = n.m.RMWCandidatesSRA(tid, op.Loc)
-				}
-				for _, msg := range cands {
-					var vW lang.Val
-					switch op.Kind {
-					case prog.OpFADD:
-						vW = lang.Val((int(msg.Val) + int(op.Add)) % program.ValCount)
-					case prog.OpXCHG:
-						vW = op.New
-					default:
-						if msg.Val != op.Exp {
-							continue
-						}
-						vW = op.New
-					}
-					nextM := n.m.Clone()
-					nextM.RMW(tid, msg, vW)
-					step(lang.RMWLab(op.Loc, msg.Val, vW), nextM)
-				}
-				if op.Kind == prog.OpCAS {
-					for _, msg := range n.m.ReadCandidates(tid, op.Loc) {
-						if msg.Val == op.Exp {
-							continue
-						}
-						nextM := n.m.Clone()
-						nextM.Read(tid, msg)
-						step(lang.ReadLab(op.Loc, msg.Val), nextM)
-					}
-				}
-			}
-		}
-	}
-	return nil
-}

@@ -10,14 +10,13 @@ import (
 	"repro/internal/prog"
 )
 
-// RAHeadroom derives the default write-slot headroom for the RA/SRA
-// machines (exported for the internal/model adapters, which must
-// enumerate exactly checkWeakRA's candidates): one more than the
-// number of write instructions in the program (every write instruction can
-// execute at most once per... conservatively, this is exact for programs
-// whose runs perform at most that many writes per location; for loopy
-// programs the exploration is additionally guarded by the state bound).
-func RAHeadroom(program *lang.Program, lim Limits) int {
+// raHeadroom returns the write-slot headroom of the RA/SRA machines:
+// lim.RAHeadroom when set, else two plus the number of write and RMW
+// instructions in the program, capped at 12. That is exact for programs
+// whose runs perform no more writes per location than they have write
+// instructions (see memra's package comment); for loopy programs the cap
+// keeps branching bounded and the state bound guards the exploration.
+func raHeadroom(program *lang.Program, lim Limits) int {
 	if lim.RAHeadroom > 0 {
 		return lim.RAHeadroom
 	}
@@ -98,13 +97,13 @@ func (ws *raScratch) takeM(from *memra.State) *memra.State {
 // it is touched once per new compound state, so contention is off the
 // expansion hot path).
 func checkWeakRA(program *lang.Program, lim Limits, sra bool) (*Result, error) {
-	scSet, err := ReachableSC(program, lim)
+	p := prog.New(program)
+	scSet, err := reachableSC(p, program, lim)
 	if err != nil {
 		return nil, err
 	}
-	p := prog.New(program)
 	res := &Result{Robust: true, SCStates: len(scSet)}
-	headroom := RAHeadroom(program, lim)
+	headroom := raHeadroom(program, lim)
 	gapCap := headroom + 1
 
 	type node struct {

@@ -3,6 +3,8 @@ package staterobust_test
 import (
 	"testing"
 
+	"repro/internal/explore"
+	"repro/internal/lang"
 	"repro/internal/litmus"
 	"repro/internal/staterobust"
 )
@@ -130,5 +132,44 @@ func TestReduceSymmetryFold(t *testing.T) {
 					red.SCStates, plain.SCStates, red.WeakStates, plain.WeakStates)
 			}
 		})
+	}
+}
+
+// TestReplayWitness: a CheckRA/CheckSRA witness replays on the timestamp
+// machine, and the same trace with one read label changed does not.
+func TestReplayWitness(t *testing.T) {
+	for _, name := range []string{"SB", "IRIW", "BAR-loop", "peterson-sc"} {
+		e, err := litmus.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := e.Program()
+		lim := staterobust.Limits{MaxStates: 2_000_000, Workers: 1}
+		for _, sra := range []bool{false, true} {
+			check := staterobust.CheckRA
+			if sra {
+				check = staterobust.CheckSRA
+			}
+			res, err := check(p, lim)
+			if err != nil {
+				t.Fatalf("%s sra=%v: %v", name, sra, err)
+			}
+			if res.Robust {
+				t.Fatalf("%s sra=%v: robust, want a witness", name, sra)
+			}
+			if err := staterobust.ReplayWitness(p, res.WitnessTrace, sra, lim); err != nil {
+				t.Errorf("%s sra=%v: witness does not replay: %v", name, sra, err)
+			}
+			bad := append([]explore.Step(nil), res.WitnessTrace...)
+			for i := range bad {
+				if bad[i].Internal == explore.IntNone && bad[i].Lab.Typ == lang.LRead {
+					bad[i].Lab.VR = lang.Val(p.ValCount) // a value no message carries
+					break
+				}
+			}
+			if err := staterobust.ReplayWitness(p, bad, sra, lim); err == nil {
+				t.Errorf("%s sra=%v: tampered witness replayed", name, sra)
+			}
+		}
 	}
 }

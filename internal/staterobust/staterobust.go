@@ -4,6 +4,13 @@
 // under RA (the §3 timestamp machine with canonicalized timestamps), and
 // compares the resulting sets.
 //
+// The four machines sit behind one MemoryModel interface (model.go) and
+// one sequential product explorer (check.go): the SC set, CheckTSO,
+// CheckState, FinalOutcomes and the instrumented TSO checker in
+// internal/model are hooks over that explorer. CheckRA and CheckSRA run
+// the one specialised engine (ra.go), a pooled parallel explorer of the
+// RA product whose step enumeration the RA adapter repeats exactly.
+//
 // Two roles:
 //
 //   - The TSO comparison is this repository's stand-in for the Trencher
@@ -29,8 +36,6 @@ import (
 	"fmt"
 
 	"repro/internal/explore"
-	"repro/internal/lang"
-	"repro/internal/memsc"
 	"repro/internal/prog"
 )
 
@@ -103,7 +108,7 @@ var ErrBound = fmt.Errorf("staterobust: state bound exceeded")
 // Limits.Ctx is cancelled before the exploration completes.
 var ErrCanceled = errors.New("staterobust: exploration canceled")
 
-// ctxPollMask gates the sequential explorers' context polls (checked every
+// ctxPollMask gates the sequential explorer's context polls (checked every
 // ctxPollMask+1 expansions).
 const ctxPollMask = 255
 
@@ -128,94 +133,4 @@ type Result struct {
 	// buffer capacity; if false, the bound provably did not limit the
 	// exploration.
 	BufBoundHit bool
-}
-
-// ReachableSC returns the set of program-state keys reachable under SC
-// (Definition 2.5 with M = SC), exploring the product with the SC memory.
-//
-// The exploration is ε-granular: thread-local instructions are interleaved
-// transitions of their own, exactly as in §2.2, so partially-closed states
-// (a thread stopped between its read and the branch consuming it) are
-// enumerated. State robustness is sensitive to them — the paper's §2.3
-// barrier discussion hinges on a state where both threads hold stale
-// zeroes on their loop branches.
-func ReachableSC(program *lang.Program, lim Limits) (map[string]struct{}, error) {
-	p := prog.New(program)
-	type node struct {
-		ps prog.State
-		m  memsc.Memory
-	}
-	ps0 := p.InitStateRaw()
-	m0 := memsc.New(program.NumLocs())
-	sy := lim.symmetry(p)
-	seen := map[string]struct{}{}
-	reach := map[string]struct{}{}
-	var queue []node
-	var buf, kbuf []byte
-	key := func(ps prog.State, m memsc.Memory) string {
-		buf = buf[:0]
-		buf = p.EncodeStateRaw(buf, ps)
-		buf = m.Encode(buf)
-		return string(buf)
-	}
-	projKey := func(ps prog.State) string {
-		if sy == nil {
-			return p.StateKeyRaw(ps)
-		}
-		kbuf = p.EncodeStateRaw(kbuf[:0], ps)
-		return string(sy.CanonRaw(kbuf))
-	}
-	push := func(ps prog.State, m memsc.Memory) {
-		k := key(ps, m)
-		if _, ok := seen[k]; ok {
-			return
-		}
-		seen[k] = struct{}{}
-		reach[projKey(ps)] = struct{}{}
-		queue = append(queue, node{ps, m})
-	}
-	push(ps0, m0)
-	popped := 0
-	for len(queue) > 0 {
-		if len(seen) > lim.maxStates() {
-			return nil, ErrBound
-		}
-		if popped&ctxPollMask == 0 && lim.ctxDone() {
-			return nil, lim.canceled()
-		}
-		popped++
-		n := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for t := range p.Threads {
-			th := &p.Threads[t]
-			ts := n.ps.Threads[t]
-			if th.Terminated(ts) {
-				continue
-			}
-			if th.AtEps(ts) {
-				nextTS, afail := th.StepEps(ts)
-				if afail != nil {
-					continue // a failed assert has no successors
-				}
-				nextPS := n.ps.Clone()
-				nextPS.Threads[t] = nextTS
-				push(nextPS, n.m)
-				continue
-			}
-			op := th.Op(ts)
-			label, enabled := prog.SCLabel(op, n.m[op.Loc], program.ValCount)
-			if !enabled {
-				continue
-			}
-			nextPS := n.ps.Clone()
-			nextPS.Threads[t] = th.ApplyRaw(ts, label)
-			nextM := n.m.Clone()
-			nextM.Step(label)
-			push(nextPS, nextM)
-		}
-	}
-	if lim.ctxDone() {
-		return nil, lim.canceled()
-	}
-	return reach, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/explore"
 	"repro/internal/lang"
-	"repro/internal/memra"
 	"repro/internal/prog"
 )
 
@@ -20,29 +19,31 @@ import (
 // the slot picked, a read label may be served by several messages with the
 // same value. Program state, by contrast, IS label-deterministic. The
 // replay therefore advances one program state and a *set* of candidate
-// memory states: at each step every candidate is expanded by every machine
-// transition matching the recorded label (the same enumeration checkWeakRA
-// uses, with the same headroom and canonicalization, so feasibility here
-// means feasibility there). An empty candidate set means the trace is
-// infeasible — the reported run cannot happen.
+// memory states: at each step every candidate is expanded by the RA
+// adapter's successors carrying the recorded label (the enumeration
+// checkWeakRA repeats, with the same headroom and canonicalization, so
+// feasibility here means feasibility there). An empty candidate set means
+// the trace is infeasible — the reported run cannot happen.
 //
 // The candidate set can blow up on write-heavy traces (every write
 // multiplies each candidate by up to headroom slots before dedup), so the
 // replay carries a work budget derived from lim and gives up with ErrBound
 // rather than deciding — a skipped validation, never a wrong one.
 func ReplayWitness(program *lang.Program, trace []explore.Step, sra bool, lim Limits) error {
-	scSet, err := ReachableSC(program, lim)
+	p := prog.New(program)
+	scSet, err := reachableSC(p, program, lim)
 	if err != nil {
 		return err
 	}
-	p := prog.New(program)
-	headroom := RAHeadroom(program, lim)
-	gapCap := headroom + 1
+	mm := NewRA(program, lim.RAHeadroom)
+	if sra {
+		mm = NewSRA(program, lim.RAHeadroom)
+	}
 
 	ps := p.InitStateRaw()
-	cands := []*memra.State{memra.New(program.NumLocs(), program.NumThreads())}
-	var msgs []memra.Msg
-	var slots []memra.Time
+	cands := []State{mm.Init()}
+	var succs []Succ
+	var key []byte
 	work := 0
 	budget := lim.maxStates()
 	for i, st := range trace {
@@ -73,108 +74,23 @@ func ReplayWitness(program *lang.Program, trace []explore.Step, sra bool, lim Li
 			return fmt.Errorf("step %d: memory step but thread %d is at a local instruction", i, t)
 		}
 		op := th.Op(ts)
-		lab := st.Lab
-		if lab.Loc != op.Loc {
-			return fmt.Errorf("step %d: label on x%d but the pending operation is on x%d", i, lab.Loc, op.Loc)
-		}
-		tid := lang.Tid(t)
-		next := map[string]*memra.State{}
-		add := func(m *memra.State) {
-			work++
-			m.Canonicalize(gapCap)
-			k := string(m.Encode(nil))
-			if _, ok := next[k]; !ok {
-				next[k] = m
-			}
-		}
+		next := map[string]State{}
 		for _, m := range cands {
-			switch op.Kind {
-			case prog.OpWrite:
-				if lab.Typ != lang.LWrite || lab.VW != op.WVal {
-					return fmt.Errorf("step %d: label %v does not match a write of %d", i, lab, op.WVal)
+			succs = mm.Steps(succs[:0], m, st.Tid, op)
+			for _, sc := range succs {
+				if sc.Lab != st.Lab {
+					continue
 				}
-				if sra {
-					slots = append(slots[:0], m.WriteSlotSRA(op.Loc))
-				} else {
-					slots = m.AppendWriteSlots(slots[:0], tid, op.Loc, headroom)
+				work++
+				mm.Canon(sc.M)
+				key = sc.M.Encode(key[:0])
+				if _, ok := next[string(key)]; !ok {
+					next[string(key)] = sc.M
 				}
-				for _, slot := range slots {
-					nm := m.Clone()
-					nm.Write(tid, op.Loc, op.WVal, slot)
-					add(nm)
-				}
-			case prog.OpRead, prog.OpWait:
-				if lab.Typ != lang.LRead {
-					return fmt.Errorf("step %d: label %v does not match a read", i, lab)
-				}
-				if op.Kind == prog.OpWait && lab.VR != op.WVal {
-					return fmt.Errorf("step %d: wait(%d) cannot read %d", i, op.WVal, lab.VR)
-				}
-				msgs = m.AppendReadCandidates(msgs[:0], tid, op.Loc)
-				for _, msg := range msgs {
-					if msg.Val != lab.VR {
-						continue
-					}
-					nm := m.Clone()
-					nm.Read(tid, msg)
-					add(nm)
-				}
-			case prog.OpFADD, prog.OpXCHG, prog.OpCAS, prog.OpBCAS:
-				switch lab.Typ {
-				case lang.LRMW:
-					switch op.Kind {
-					case prog.OpFADD:
-						if want := lang.Val((int(lab.VR) + int(op.Add)) % program.ValCount); lab.VW != want {
-							return fmt.Errorf("step %d: FADD label %v writes %d, expected %d", i, lab, lab.VW, want)
-						}
-					case prog.OpXCHG:
-						if lab.VW != op.New {
-							return fmt.Errorf("step %d: XCHG label %v writes %d, expected %d", i, lab, lab.VW, op.New)
-						}
-					case prog.OpCAS, prog.OpBCAS:
-						if lab.VR != op.Exp || lab.VW != op.New {
-							return fmt.Errorf("step %d: CAS label %v does not match CAS(%d→%d)", i, lab, op.Exp, op.New)
-						}
-					}
-					if sra {
-						msgs = m.AppendRMWCandidatesSRA(msgs[:0], tid, op.Loc)
-					} else {
-						msgs = m.AppendRMWCandidates(msgs[:0], tid, op.Loc)
-					}
-					for _, msg := range msgs {
-						if msg.Val != lab.VR {
-							continue
-						}
-						nm := m.Clone()
-						nm.RMW(tid, msg, lab.VW)
-						add(nm)
-					}
-				case lang.LRead:
-					// Only a failed CAS reads without writing.
-					if op.Kind != prog.OpCAS {
-						return fmt.Errorf("step %d: plain-read label %v on a %v operation", i, lab, op.Kind)
-					}
-					if lab.VR == op.Exp {
-						return fmt.Errorf("step %d: failed CAS cannot read the expected value %d", i, op.Exp)
-					}
-					msgs = m.AppendReadCandidates(msgs[:0], tid, op.Loc)
-					for _, msg := range msgs {
-						if msg.Val != lab.VR {
-							continue
-						}
-						nm := m.Clone()
-						nm.Read(tid, msg)
-						add(nm)
-					}
-				default:
-					return fmt.Errorf("step %d: label %v does not match an RMW operation", i, lab)
-				}
-			default:
-				return fmt.Errorf("step %d: thread %d has no memory operation pending", i, t)
 			}
 		}
 		if len(next) == 0 {
-			return fmt.Errorf("step %d: no reachable RA memory supports label %v (infeasible trace)", i, lab)
+			return fmt.Errorf("step %d: no reachable %s memory supports label %v (infeasible trace)", i, mm.Name(), st.Lab)
 		}
 		if work > budget {
 			return fmt.Errorf("%w (replay candidate set at step %d)", ErrBound, i)
@@ -183,9 +99,9 @@ func ReplayWitness(program *lang.Program, trace []explore.Step, sra bool, lim Li
 		for _, m := range next {
 			cands = append(cands, m)
 		}
-		ps.Threads[t] = th.ApplyRaw(ts, lab)
+		ps.Threads[t] = th.ApplyRaw(ts, st.Lab)
 	}
-	if _, ok := scSet[p.StateKeyRaw(ps)]; ok {
+	if _, ok := scSet[string(newProjector(p, lim).key(ps))]; ok {
 		return fmt.Errorf("final program state is SC-reachable — not a robustness witness")
 	}
 	return nil
