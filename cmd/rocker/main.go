@@ -66,12 +66,13 @@ import (
 )
 
 // main delegates to run so that the profiling defers flush on every exit
-// path (os.Exit skips deferred calls).
+// path (os.Exit skips deferred calls): run and its helpers report errors
+// through run's return value, never by exiting.
 func main() {
 	os.Exit(run())
 }
 
-func run() int {
+func run() (code int) {
 	if len(os.Args) > 1 && os.Args[1] == "vet" {
 		return runVet(os.Args[2:])
 	}
@@ -109,23 +110,33 @@ func run() int {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			f.Close()
+			return fail(err)
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				code = fail(err)
+			}
+		}()
 	}
 	if *memProfile != "" {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fatal(err)
+				code = fail(err)
+				return
 			}
-			defer f.Close()
 			runtime.GC() // material allocations only
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
+			err = pprof.WriteHeapProfile(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				code = fail(err)
 			}
 		}()
 	}
@@ -144,7 +155,7 @@ func run() int {
 	if *models != "" {
 		modes, err := matrixModes(*models)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		opts := model.RunOpts{
 			MaxStates:   *maxStates,
@@ -162,10 +173,16 @@ func run() int {
 		if *all {
 			return matrixAll(modes, opts)
 		}
-		program := loadProgram(*corpusName)
+		program, err := loadProgram(*corpusName)
+		if err != nil {
+			return fail(err)
+		}
 		uncertified := false
 		for _, mode := range modes {
-			cell := matrixCell(mode, program, opts)
+			cell, err := matrixCell(mode, program, opts)
+			if err != nil {
+				return fail(err)
+			}
 			uncertified = uncertified || strings.HasPrefix(cell, "✓?")
 			fmt.Printf("%-10s %s\n", mode, cell)
 		}
@@ -185,7 +202,7 @@ func run() int {
 			p := e.Program()
 			v, err := core.Verify(p, core.Options{AbstractVals: !*full, Workers: *workers, Ctx: ctx, Reduce: !*noReduce})
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			status := "OK"
 			if v.Robust != e.RobustRA {
@@ -215,7 +232,10 @@ func run() int {
 		return 0
 	}
 
-	program := loadProgram(*corpusName)
+	program, err := loadProgram(*corpusName)
+	if err != nil {
+		return fail(err)
+	}
 
 	m := core.ModelRA
 	switch *modelFlag {
@@ -223,8 +243,9 @@ func run() int {
 	case "sra":
 		m = core.ModelSRA
 	default:
-		fatal(fmt.Errorf("unknown model %q (want ra or sra)", *modelFlag))
+		return fail(fmt.Errorf("unknown model %q (want ra or sra)", *modelFlag))
 	}
+	start := time.Now()
 	v, err := core.Verify(program, core.Options{
 		Model:        m,
 		AbstractVals: !*full,
@@ -236,7 +257,11 @@ func run() int {
 		Reduce:       !*noReduce,
 	})
 	if err != nil {
-		fatal(err)
+		if *stats {
+			fmt.Printf("  stats: no verdict after %v\n", time.Since(start))
+			printMemStats()
+		}
+		return fail(err)
 	}
 	if *explain && !*noReduce {
 		fmt.Print(core.ExplainReduce(program))
@@ -283,28 +308,22 @@ func run() int {
 
 // loadProgram resolves the single-program operand: -corpus name or one
 // .lit file argument.
-func loadProgram(corpusName string) *lang.Program {
+func loadProgram(corpusName string) (*lang.Program, error) {
 	switch {
 	case corpusName != "":
 		e, err := litmus.Get(corpusName)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		return e.Program()
+		return e.Program(), nil
 	case flag.NArg() == 1:
 		src, err := os.ReadFile(flag.Arg(0))
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		p, err := parser.Parse(string(src))
-		if err != nil {
-			fatal(err)
-		}
-		return p
+		return parser.Parse(string(src))
 	}
-	fmt.Fprintln(os.Stderr, "usage: rocker [flags] file.lit | rocker -corpus name | rocker -list")
-	os.Exit(2)
-	return nil
+	return nil, errors.New("usage: rocker [flags] file.lit | rocker -corpus name | rocker -list")
 }
 
 // matrixDefaultMax bounds each matrix cell when -max is unset: large
@@ -333,19 +352,19 @@ func matrixModes(spec string) ([]string, error) {
 }
 
 // matrixCell runs one mode on one program and renders the verdict cell:
-// ✓/✗ plus the explored-state count, or the reason no verdict exists.
-func matrixCell(mode string, p *lang.Program, opts model.RunOpts) string {
+// ✓/✗ plus the explored-state count, or the reason no verdict exists. Any
+// other error is returned.
+func matrixCell(mode string, p *lang.Program, opts model.RunOpts) (string, error) {
 	rr, err := model.Run(mode, p, opts)
 	switch {
 	case err == nil:
-		return fmt.Sprintf("%s %d", rr.Mark(), rr.States)
+		return fmt.Sprintf("%s %d", rr.Mark(), rr.States), nil
 	case errors.Is(err, core.ErrStateBound) || errors.Is(err, staterobust.ErrBound):
-		return "bound"
+		return "bound", nil
 	case errors.Is(err, core.ErrCanceled) || errors.Is(err, staterobust.ErrCanceled):
-		return "timeout"
+		return "timeout", nil
 	}
-	fatal(err)
-	return ""
+	return "", err
 }
 
 // matrixAll prints the cross-model verdict matrix over the whole corpus,
@@ -365,7 +384,10 @@ func matrixAll(modes []string, opts model.RunOpts) int {
 		p := e.Program()
 		fmt.Printf("%-22s", e.Name)
 		for _, mode := range modes {
-			cell := matrixCell(mode, p, opts)
+			cell, err := matrixCell(mode, p, opts)
+			if err != nil {
+				return fail(err)
+			}
 			uncertified = uncertified || strings.HasPrefix(cell, "✓?")
 			// ✓/✗ are multi-byte; pad on rune width.
 			fmt.Printf("  %s%s", cell, strings.Repeat(" ", pad(12, cell)))
@@ -392,10 +414,15 @@ func pad(width int, cell string) int {
 // loop, states/sec should scale with workers while allocated-total and GC
 // cycles stay near-constant in the explored-state count.
 func printStats(states int, elapsed time.Duration) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
 	rate := float64(states) / elapsed.Seconds()
 	fmt.Printf("  stats: %.0f states/sec (%d states in %v)\n", rate, states, elapsed)
+	printMemStats()
+}
+
+// printMemStats prints the heap and GC lines of -stats.
+func printMemStats() {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
 	fmt.Printf("  heap: %.1f MiB in use, %.1f MiB peak, %.1f MiB allocated total\n",
 		float64(ms.HeapInuse)/(1<<20), float64(ms.HeapSys-ms.HeapReleased)/(1<<20),
 		float64(ms.TotalAlloc)/(1<<20))
@@ -412,7 +439,8 @@ func indexLine(s, prefix string) int {
 	return len(s)
 }
 
-func fatal(err error) {
+// fail reports err and returns the error exit status.
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "rocker:", err)
-	os.Exit(2)
+	return 2
 }

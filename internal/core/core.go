@@ -12,13 +12,19 @@
 // comes with a counterexample trace: an SC run to a state from which an RA
 // execution graph can diverge from all SC ones.
 //
-// Exploration is parallel by default (Options.Workers): robustness
-// checking is embarrassingly parallel at the state level, since the
-// Theorem 5.3 conditions are evaluated per state against the read-only
-// monitor. Workers share a sharded visited set and hand the frontier off
-// in batches (see internal/explore); Workers = 1 runs the sequential
-// reference implementation, against which the parallel engine's verdicts
-// and full-run state counts are pinned by tests.
+// Verify and the plain-SC VerifySC (the paper's "SC" column) are one
+// search with two memory halves: both run a single exploration kernel
+// (kernel.go), whose per-state body decodes a state, runs the Theorem 5.3
+// and racy-state checks (a no-op for plain SC), picks the ample set,
+// applies the sleep mask, and steps, canonicalizes and encodes every
+// successor. The memory half — the SCM monitor state or the SC memory — is
+// the kernel's only parameter. Two drivers feed the body: the sequential
+// reference (Workers = 1, exact BFS over explore.Store) and the parallel
+// one (explore.RunParallelOpts over a sharded visited set, the default:
+// the checks are evaluated per state against the read-only monitor, so
+// robustness checking is embarrassingly parallel at the state level). The
+// parallel driver's verdicts and full-run state counts are pinned against
+// the sequential one by tests.
 package core
 
 import (
@@ -204,26 +210,10 @@ type Verdict struct {
 // ErrStateBound is returned when MaxStates is exceeded.
 var ErrStateBound = fmt.Errorf("core: state bound exceeded")
 
-// verifier bundles the immutable per-run machinery shared by the
-// sequential and parallel paths: the compiled program, the monitor (both
-// read-only during exploration, so workers share them), and the
-// racy-state flag.
-type verifier struct {
-	p     *prog.P
-	mon   *scm.Monitor
-	hasNA bool
-	an    *analysis.Result // pre-pass result, nil unless Options.StaticPrune
-}
-
-func newVerifier(program *lang.Program, opts Options) (*verifier, error) {
-	if err := program.Validate(); err != nil {
-		return nil, err
-	}
-	p := prog.New(program)
-	var an *analysis.Result
-	if opts.StaticPrune {
-		an = analysis.Analyze(program)
-	}
+// newMonitor builds the SCM monitor for a validated program: critical
+// values per Options.AbstractVals, sharpened and plane-pruned by the
+// static pre-pass result an when there is one.
+func newMonitor(program *lang.Program, an *analysis.Result, opts Options) *scm.Monitor {
 	var crit []uint64
 	switch {
 	case opts.AbstractVals && an != nil:
@@ -246,355 +236,54 @@ func newVerifier(program *lang.Program, opts Options) (*verifier, error) {
 		}
 	}
 	na := make([]bool, len(program.Locs))
-	hasNA := false
 	for i, li := range program.Locs {
 		na[i] = li.NA
-		hasNA = hasNA || li.NA
 	}
 	mon := scm.NewMonitor(program.NumThreads(), program.NumLocs(), program.ValCount, crit, na)
 	mon.SRA = opts.Model == ModelSRA
 	if an != nil {
 		mon.Tracked = an.Tracked
 	}
-	return &verifier{p: p, mon: mon, hasNA: hasNA, an: an}, nil
+	return mon
 }
 
 // annotate copies the pre-pass summary fields into a verdict.
-func (v *verifier) annotate(verdict *Verdict) {
-	if v.an == nil {
-		return
-	}
-	verdict.Analysis = v.an
-	verdict.PrunedLocs = bits.OnesCount64(v.an.Pruned)
-	verdict.CritSharpened = v.an.CritSharpened
-}
-
-// scratch is the per-worker decode/expansion state: a reusable current
-// program state and a successor state for the clone-free ApplyInto kernel
-// (register slices included), the pending-operation buffer, current and
-// successor monitor states, the encode buffer, a buffer for
-// re-materializing exact-mode frontier keys from the arena, and the
-// free list of recycled hash-compact frontier payloads. The sequential
-// path uses a single instance; with it, steady-state expansion performs no
-// heap allocation.
-type scratch struct {
-	cur    prog.State
-	nxt    prog.State
-	ops    []prog.MemOp
-	curMS  scm.State
-	nextMS *scm.State
-	keyBuf []byte
-	popBuf []byte
-	free   [][]byte
-	// Partial-order reduction scratch (Options.Reduce): the
-	// canonicalization permutation buffer and per-worker reduction
-	// counters, summed into the verdict after the run.
-	perm                 []uint8
-	cAmple, cSleep, cSym int64
-}
-
-func (v *verifier) newScratch(program *lang.Program) *scratch {
-	s := &scratch{nextMS: v.mon.Init(), ops: make([]prog.MemOp, len(v.p.Threads))}
-	s.cur = prog.State{Threads: make([]prog.ThreadState, len(v.p.Threads))}
-	s.nxt = prog.State{Threads: make([]prog.ThreadState, len(v.p.Threads))}
-	for i := range v.p.Threads {
-		s.cur.Threads[i].Regs = make([]lang.Val, program.Threads[i].NumRegs)
-		s.nxt.Threads[i].Regs = make([]lang.Val, program.Threads[i].NumRegs)
-	}
-	return s
-}
-
-// pushPayload returns the frontier payload for a newly interned state: nil
-// in exact mode (the queue carries only the id; bytes are re-materialized
-// from the store's arena on expansion) and a recycled copy of key in
-// hash-compact mode, where the store keeps no key bytes.
-func (s *scratch) pushPayload(hashCompact bool, key []byte) []byte {
-	if !hashCompact {
-		return nil
-	}
-	var buf []byte
-	if n := len(s.free); n > 0 {
-		buf = s.free[n-1][:0]
-		s.free = s.free[:n-1]
-	}
-	return append(buf, key...)
-}
-
-// recycle takes back an expanded hash-compact frontier payload.
-func (s *scratch) recycle(buf []byte) {
-	if buf != nil {
-		s.free = append(s.free, buf)
-	}
-}
-
-func (s *scratch) encode(v *verifier, ps prog.State, ms *scm.State) []byte {
-	s.keyBuf = s.keyBuf[:0]
-	s.keyBuf = v.p.EncodeState(s.keyBuf, ps)
-	s.keyBuf = v.mon.Encode(s.keyBuf, ms)
-	return s.keyBuf
+func annotate(v *Verdict, an *analysis.Result) {
+	v.Analysis = an
+	v.PrunedLocs = bits.OnesCount64(an.Pruned)
+	v.CritSharpened = an.CritSharpened
 }
 
 // Verify decides execution-graph robustness of the program against RA.
 func Verify(program *lang.Program, opts Options) (*Verdict, error) {
-	if opts.StaticPrune {
-		// Certificate fast path: if the conflict graph has no block with
-		// two or more conflict edges (and neither assertions nor
-		// non-atomic conflicts require exploration), the program is
-		// robust — against RA and a fortiori against SRA, whose
-		// Theorem 5.3 conditions are a subset — with zero states.
-		start := time.Now()
-		if err := program.Validate(); err != nil {
-			return nil, err
-		}
-		if an := analysis.Analyze(program); an.Certificate {
-			return &Verdict{
-				Robust:        true,
-				Certificate:   true,
-				Analysis:      an,
-				PrunedLocs:    bits.OnesCount64(an.Pruned),
-				CritSharpened: an.CritSharpened,
-				Elapsed:       time.Since(start),
-			}, nil
-		}
-	}
-	if opts.workerCount() > 1 {
-		return verifyParallel(program, opts)
-	}
 	start := time.Now()
-	v, err := newVerifier(program, opts)
+	if err := program.Validate(); err != nil {
+		return nil, err
+	}
+	var an *analysis.Result
+	if opts.StaticPrune {
+		an = analysis.Analyze(program)
+		if an.Certificate {
+			// Certificate fast path: the conflict graph has no block with
+			// two or more conflict edges (and neither assertions nor
+			// non-atomic conflicts require exploration), so the program
+			// is robust — against RA and a fortiori against SRA, whose
+			// Theorem 5.3 conditions are a subset — with zero states.
+			v := &Verdict{Robust: true, Certificate: true, Elapsed: time.Since(start)}
+			annotate(v, an)
+			return v, nil
+		}
+	}
+	mon := newMonitor(program, an, opts)
+	v, err := newKernel(program, prog.New(program), mon, opts).run(opts, start)
 	if err != nil {
 		return nil, err
 	}
-	verdict := &Verdict{Robust: true, MetadataBits: v.mon.Bits()}
-	v.annotate(verdict)
-	var ws *scratch
-	finish := func() (*Verdict, error) {
-		// A canceled run never reports a verdict, even if exploration
-		// happened to finish before the poll noticed: the caller asked for
-		// cancellation, and a deterministic ErrCanceled is what the
-		// service layer's "canceled, not a verdict" contract needs.
-		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			return nil, canceled(opts.Ctx)
-		}
-		if ws != nil {
-			verdict.AmpleHits, verdict.SleepSkips, verdict.SymmetryFolds = ws.cAmple, ws.cSleep, ws.cSym
-		}
-		verdict.Elapsed = time.Since(start)
-		return verdict, nil
+	v.MetadataBits = mon.Bits()
+	if an != nil {
+		annotate(&v, an)
 	}
-	ps0, fail := v.p.InitState()
-	if fail != nil {
-		verdict.Robust = false
-		verdict.AssertFail = fail
-		return finish()
-	}
-	ms0 := v.mon.Init()
-	var red *reducer
-	if opts.Reduce {
-		red = newReducer(program, v.p, v.mon)
-	}
-	// Sleep sets need the exact store (re-expansion re-materializes keys,
-	// which hash-compacted stores cannot) and per-state uint64 masks.
-	useSleep := red != nil && !opts.HashCompact && red.nT <= maxSleepThreads
-
-	var store *explore.Store
-	if opts.HashCompact {
-		store = explore.NewHashCompactStore()
-	} else {
-		store = explore.NewStore()
-	}
-	// The frontier is zero-copy. In exact mode it is implicit: sequential
-	// BFS interns states in exactly the order it pops them, so the dense id
-	// sequence 0, 1, 2, ... IS the FIFO frontier — no queue exists at all,
-	// the visited store doubles as the frontier, and the packed encoding
-	// (program state followed by SCM state) is re-materialized from the
-	// store's arena on expansion. In hash-compact mode, where the store
-	// keeps no key bytes, a real queue carries payload copies whose buffers
-	// are recycled through a free list.
-	var queue explore.Queue[[]byte]
-	ws = v.newScratch(program)
-	if red != nil {
-		ws.perm = make([]uint8, red.nT)
-	}
-	rootKey := ws.encode(v, ps0, ms0)
-	root, _ := store.AddBytes(rootKey, -1, explore.Step{})
-	if opts.HashCompact {
-		queue.Push(root, ws.pushPayload(true, rootKey))
-	}
-
-	report := func(id int32, viol *scm.Violation) bool {
-		verdict.Robust = false
-		if verdict.Trace == nil {
-			verdict.Trace = store.Trace(id)
-			if red != nil && red.symm() {
-				// The trace and the violation are recorded on the symmetry
-				// quotient; concretize them back into the original
-				// program's thread names. Later violations (with
-				// KeepAllViolations) stay canonical: each names a thread of
-				// the same class, which is truthful by symmetry.
-				viol = concretizeViolation(viol, red.concretize(verdict.Trace))
-			}
-		}
-		verdict.Violations = append(verdict.Violations, viol)
-		return !opts.KeepAllViolations
-	}
-
-	every := int64(opts.ProgressEvery)
-	if every <= 0 {
-		every = 4096
-	}
-	expanded := int64(0)
-	next := int32(0)
-	// requeue holds already-expanded states whose sleep mask strictly
-	// shrank on a revisit: they must be re-expanded so edges the larger
-	// mask elided get explored (checks and counters are not repeated).
-	var requeue []int32
-	for {
-		var item explore.QItem[[]byte]
-		requeued := false
-		if opts.HashCompact {
-			var ok bool
-			if item, ok = queue.Pop(); !ok {
-				break
-			}
-		} else if int(next) < store.Len() {
-			item = explore.QItem[[]byte]{ID: next, St: store.KeyBytes(next)}
-			next++
-		} else if n := len(requeue); n > 0 {
-			id := requeue[n-1]
-			requeue = requeue[:n-1]
-			item = explore.QItem[[]byte]{ID: id, St: store.KeyBytes(id)}
-			requeued = true
-		} else {
-			break
-		}
-		if opts.MaxStates > 0 && store.Len() > opts.MaxStates {
-			return nil, fmt.Errorf("%w (%d states)", ErrStateBound, store.Len())
-		}
-		if opts.Ctx != nil && expanded&ctxPollMask == 0 && opts.Ctx.Err() != nil {
-			return nil, canceled(opts.Ctx)
-		}
-		expanded++
-		if opts.Progress != nil && expanded%every == 0 {
-			opts.Progress(Progress{States: store.Len(), Expanded: expanded})
-		}
-		itemKey := item.St
-		n := v.p.DecodeState(itemKey, ws.cur)
-		v.mon.Decode(itemKey[n:], &ws.curMS)
-		ops := ws.ops
-		v.p.OpsInto(ops, ws.cur)
-
-		if !requeued {
-			// Theorem 5.3 conditions for every thread's pending operation.
-			for t := range ops {
-				if viol := v.mon.CheckOp(&ws.curMS, lang.Tid(t), ops[t]); viol != nil {
-					if report(item.ID, viol) {
-						verdict.States = store.Len()
-						return finish()
-					}
-				}
-			}
-			// Definition 6.1 racy-state condition (§6).
-			if v.hasNA {
-				if viol := v.mon.CheckRace(ops); viol != nil {
-					if report(item.ID, viol) {
-						verdict.States = store.Len()
-						return finish()
-					}
-				}
-			}
-		}
-
-		// Successors: every SC-enabled thread action — or, with Reduce, a
-		// single ample representative when one qualifies, minus any edges
-		// the state's sleep set proves redundant (ample states ignore the
-		// sleep set: the one representative is always expanded).
-		ampleT := -1
-		if red != nil {
-			ampleT = red.ample(ws.curMS.M, ws.cur, ws.nxt, ops)
-			if ampleT >= 0 && !requeued {
-				ws.cAmple++
-			}
-		}
-		var sleepZ, expandedSoFar uint64
-		if useSleep {
-			sleepZ = store.Sleep(item.ID)
-		}
-		for t := range ops {
-			op := ops[t]
-			if op.Kind == prog.OpNone {
-				continue
-			}
-			if ampleT >= 0 {
-				if t != ampleT {
-					continue
-				}
-			} else if useSleep && sleepZ>>t&1 != 0 {
-				if !requeued {
-					ws.cSleep++
-				}
-				continue
-			}
-			label, enabled := prog.SCLabel(op, ws.curMS.M[op.Loc], program.ValCount)
-			if !enabled {
-				continue // blocked wait/BCAS
-			}
-			afail := v.p.Threads[t].ApplyInto(ws.cur.Threads[t], label, &ws.nxt.Threads[t])
-			step := explore.Step{Tid: lang.Tid(t), Lab: label}
-			if afail != nil {
-				verdict.Robust = false
-				verdict.Trace = append(store.Trace(item.ID), step)
-				if red != nil && red.symm() {
-					red.concretize(verdict.Trace)
-					af := *afail
-					af.Tid = verdict.Trace[len(verdict.Trace)-1].Tid
-					afail = &af
-				}
-				verdict.AssertFail = afail
-				verdict.States = store.Len()
-				return finish()
-			}
-			var cz uint64
-			if useSleep {
-				cz = childSleep(ops, t, sleepZ|expandedSoFar)
-			}
-			expandedSoFar |= uint64(1) << t
-			savedTS := ws.cur.Threads[t]
-			ws.cur.Threads[t] = ws.nxt.Threads[t]
-			ws.nextMS.CopyFrom(&ws.curMS)
-			v.mon.Step(ws.nextMS, lang.Tid(t), label)
-			var key []byte
-			if red != nil && red.symm() && !red.canonPerm(ws.cur, ws.nextMS, ws.perm) {
-				if !requeued {
-					ws.cSym++
-				}
-				step.Perm = packPerm(ws.perm)
-				cz = permuteMask(cz, ws.perm)
-				ws.keyBuf = ws.keyBuf[:0]
-				ws.keyBuf = v.p.EncodeStatePerm(ws.keyBuf, ws.cur, ws.perm)
-				ws.keyBuf = v.mon.EncodePerm(ws.keyBuf, ws.nextMS, ws.perm)
-				key = ws.keyBuf
-			} else {
-				key = ws.encode(v, ws.cur, ws.nextMS)
-			}
-			ws.cur.Threads[t] = savedTS
-			if useSleep {
-				if id, _, shrunk := store.AddBytesSleep(key, item.ID, step, cz); shrunk && id < next {
-					requeue = append(requeue, id)
-				}
-			} else {
-				id, isNew := store.AddBytes(key, item.ID, step)
-				if isNew && opts.HashCompact {
-					queue.Push(id, ws.pushPayload(true, key))
-				}
-			}
-		}
-		if opts.HashCompact {
-			ws.recycle(item.St)
-		}
-	}
-	verdict.States = store.Len()
-	return finish()
+	return &v, nil
 }
 
 // FormatTrace renders a verdict's counterexample trace with the program's

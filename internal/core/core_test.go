@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -80,12 +81,20 @@ end
 }
 
 // TestMaxStatesBound checks that the state bound aborts with ErrStateBound
-// rather than returning a verdict.
+// rather than returning a verdict, for both explorers at both drivers.
 func TestMaxStatesBound(t *testing.T) {
 	e, _ := litmus.Get("peterson-ra")
-	_, err := core.Verify(e.Program(), core.Options{AbstractVals: true, MaxStates: 10})
-	if err == nil {
-		t.Fatal("expected the state bound to trip")
+	p := e.Program()
+	for _, w := range []int{1, 4} {
+		opts := core.Options{AbstractVals: true, MaxStates: 10, Workers: w}
+		if _, err := core.Verify(p, opts); !errors.Is(err, core.ErrStateBound) {
+			t.Errorf("Verify workers=%d: err = %v, want ErrStateBound", w, err)
+		}
+		if _, err := core.VerifySC(p, opts); !errors.Is(err, core.ErrStateBound) {
+			t.Errorf("VerifySC workers=%d: err = %v, want ErrStateBound", w, err)
+		} else if !strings.Contains(err.Error(), " states)") {
+			t.Errorf("VerifySC workers=%d: err = %q, want the state count", w, err)
+		}
 	}
 }
 

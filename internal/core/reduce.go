@@ -69,11 +69,11 @@ const maxSleepThreads = 64
 
 // reducer is the immutable per-run reduction oracle, shared read-only by
 // all workers; mutable scratch (the permutation buffer, counters) lives in
-// the per-worker scratch structs.
+// each worker.
 type reducer struct {
 	prog *lang.Program
 	p    *prog.P
-	mon  *scm.Monitor // nil in the SC-only explorer
+	mon  *scm.Monitor // nil for the plain SC memory (VerifySC)
 	// acc[t][pc] / wr[t][pc]: locations thread t may access / write at or
 	// after pc (analysis.AccessSets).
 	acc, wr [][]uint64
@@ -98,8 +98,8 @@ func (r *reducer) symm() bool { return r.classes != nil }
 
 // ample picks one thread whose pending operation may stand in for the full
 // expansion of the current state, or -1 to require full expansion. mem is
-// the current SC memory (the monitor's M component, or the SC-only
-// explorer's memory); nxt is caller scratch for the trial step.
+// the current SC memory (the M component of the memory half); nxt is
+// caller scratch for the trial step.
 func (r *reducer) ample(mem []lang.Val, cur, nxt prog.State, ops []prog.MemOp) int {
 	return r.ampleEx(mem, cur, nxt, ops, nil)
 }
@@ -238,10 +238,10 @@ func childSleep(ops []prog.MemOp, t int, base uint64) uint64 {
 // canonPerm fills perm with the symmetry permutation canonicalizing the
 // successor state (ps, ms): within every class, member slots are sorted by
 // the threads' full per-thread content — the program block first, then the
-// thread-indexed monitor words (ms is nil in the SC-only explorer, which
-// has no monitor). Two threads comparing equal have identical per-thread
-// content everywhere, so any tie order yields the same encoding. Reports
-// whether the result is the identity.
+// thread-indexed monitor words, if there is a monitor (the plain SC memory
+// is not thread-indexed). Two threads comparing equal have identical
+// per-thread content everywhere, so any tie order yields the same
+// encoding. Reports whether the result is the identity.
 func (r *reducer) canonPerm(ps prog.State, ms *scm.State, perm []uint8) bool {
 	for i := range perm {
 		perm[i] = uint8(i)
@@ -266,7 +266,7 @@ func (r *reducer) cmpThreads(ps prog.State, ms *scm.State, a, b int) int {
 	if c := r.p.CmpThreads(ps, a, b); c != 0 {
 		return c
 	}
-	if ms != nil {
+	if r.mon != nil {
 		return r.mon.CmpThreads(ms, a, b)
 	}
 	return 0

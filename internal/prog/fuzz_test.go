@@ -75,8 +75,8 @@ func FuzzEncodeStateRoundTrip(f *testing.F) {
 		}
 
 		enc := p.EncodeState(nil, s)
-		if len(enc) != len(raw) {
-			t.Fatalf("canonical and raw encodings disagree on length: %d vs %d", len(enc), len(raw))
+		if len(enc) != len(raw) || len(enc) != p.EncodedLen() {
+			t.Fatalf("encoding lengths disagree: canonical %d, raw %d, EncodedLen %d", len(enc), len(raw), p.EncodedLen())
 		}
 		dec2 := p.InitStateRaw()
 		if n := p.DecodeState(enc, dec2); n != len(enc) {

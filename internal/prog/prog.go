@@ -550,6 +550,16 @@ func (p *P) EncodeState(dst []byte, s State) []byte {
 	return dst
 }
 
+// EncodedLen returns the length of EncodeState's encoding, the same for
+// every state of the program.
+func (p *P) EncodedLen() int {
+	n := 0
+	for i := range p.Threads {
+		n += 2 + p.Threads[i].seq.NumRegs
+	}
+	return n
+}
+
 // EncodeStateRaw is EncodeState without the dead-register
 // canonicalization. State-robustness comparisons (Definition 2.6) must use
 // raw states: the registers that witness a weak behaviour (e.g. the two
